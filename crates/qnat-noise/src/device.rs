@@ -149,13 +149,23 @@ impl DeviceModel {
             .iter()
             .find(|e| (e.a, e.b) == (a, b) || (e.b, e.a) == (a, b))
             .map(|e| e.spec)
-            .unwrap_or_else(|| {
-                self.tq_errors
-                    .iter()
-                    .map(|e| e.spec)
-                    .max_by(|x, y| x.total().total_cmp(&y.total()))
-                    .unwrap_or_else(PauliErrorSpec::zero)
-            })
+            .unwrap_or_else(|| self.uncoupled_two_qubit_error())
+    }
+
+    /// The spec a two-qubit gate on an uncoupled pair gets: the worst edge
+    /// spec (zero on a device without edges).
+    pub(crate) fn uncoupled_two_qubit_error(&self) -> PauliErrorSpec {
+        self.tq_errors
+            .iter()
+            .map(|e| e.spec)
+            .max_by(|x, y| x.total().total_cmp(&y.total()))
+            .unwrap_or_else(PauliErrorSpec::zero)
+    }
+
+    /// The per-edge two-qubit error specs, in calibration order (the
+    /// order [`two_qubit_error`](Self::two_qubit_error) searches).
+    pub(crate) fn edge_errors(&self) -> &[EdgeError] {
+        &self.tq_errors
     }
 
     /// Readout error for qubit `q`.

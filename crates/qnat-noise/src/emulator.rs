@@ -7,28 +7,112 @@
 //! Measurement applies the per-qubit readout confusion and optionally
 //! finite-shot sampling.
 //!
+//! A run is a compile step followed by one walk over `vec(ρ)`. The
+//! compiler folds each single-qubit gate and the channels that follow it
+//! into one 4×4 Liouville matrix on the qubit's `vec(ρ)` bits
+//! `(q + n, q)`, and multiplies consecutive ones on the same qubit into a
+//! pending matrix. A two-qubit gate flushes the pending matrices on both
+//! its qubits, emits its unitary on the row bits and its conjugate on the
+//! column bits, and leaves its channels pending. The result is a
+//! superoperator [`FusedCircuit`] that the existing `apply_mat4` kernel
+//! runs once, applied in bounded segments as it is produced. The
+//! channels' Liouville matrices come from a per-device table built once
+//! per emulator.
+//!
 //! All entry points are fallible: an oversized circuit or an invalid
 //! channel spec surfaces as a typed [`BackendError`] instead of a panic, so
 //! the deployment pipeline can report and recover.
 
 use crate::backend::BackendError;
 use crate::device::DeviceModel;
+use crate::noise_table::{NoiseForm, NoiseTable};
 use qnat_sim::channel::Channel1;
 use qnat_sim::circuit::Circuit;
 use qnat_sim::density::DensityMatrix;
+use qnat_sim::fused::{FusedCircuit, FusedOp};
+use qnat_sim::gate::GateMatrix;
+use qnat_sim::kernels::{conj2, conj4};
+use qnat_sim::math::{kron2, mat4_mul, Mat2, Mat4, C64};
 use qnat_sim::measure::sampled_expect_all_z;
 use rand::Rng;
+
+/// Most ops a compiled program holds before it is applied: long (folded)
+/// circuits run in segments, so the program buffer stays at 64 ops
+/// (≈ 18 KB) instead of growing with the circuit.
+const SEGMENT_OPS: usize = 64;
 
 /// A hardware emulator bound to a device model.
 #[derive(Debug, Clone)]
 pub struct HardwareEmulator {
     model: DeviceModel,
+    /// The Liouville matrix of the noise that follows each gate, per qubit
+    /// and per edge.
+    noise: NoiseTable<Mat4>,
+}
+
+/// The Liouville matrix `M ⊗ M*` of the single-operator map `ρ → MρMᵈ`
+/// (a gate, or one Kraus term) on a qubit's `vec(ρ)` bits `(q + n, q)`,
+/// in the `apply_mat4` basis `index = 2·row + col`: entry
+/// `[2r'+c'][2r+c] = M[r'][r]·conj(M[c'][c])`. Products compose right to
+/// left, like the maps.
+fn liouville(m: &Mat2) -> Mat4 {
+    kron2(m, &conj2(m))
+}
+
+/// A channel's Liouville matrix `Σₖ Kᵏ ⊗ Kᵏ*`.
+fn channel_liouville(channel: &Channel1) -> Mat4 {
+    let mut s = [[C64::ZERO; 4]; 4];
+    for k in channel.kraus() {
+        for (row, term) in s.iter_mut().zip(&liouville(k)) {
+            for (v, t) in row.iter_mut().zip(term) {
+                *v += *t;
+            }
+        }
+    }
+    s
+}
+
+/// The Liouville form: each entry is the 4×4 superoperator of the noise
+/// on the qubit's `vec(ρ)` bits `(q + n, q)`; a part without channels is
+/// `None`, the identity.
+impl NoiseForm for Mat4 {
+    type Pauli = Option<Mat4>;
+    type Damping = Option<Mat4>;
+
+    fn pauli(channel: Option<Channel1>) -> Self::Pauli {
+        channel.as_ref().map(channel_liouville)
+    }
+
+    fn damping(channels: Vec<Channel1>) -> Self::Damping {
+        // Later channels multiply on the left.
+        channels
+            .iter()
+            .map(channel_liouville)
+            .reduce(|acc, s| mat4_mul(&s, &acc))
+    }
+
+    fn join(pauli: &Self::Pauli, damping: &Self::Damping) -> Self {
+        match (pauli, damping) {
+            (Some(p), Some(d)) => mat4_mul(d, p),
+            (Some(m), None) | (None, Some(m)) => *m,
+            (None, None) => {
+                let mut id = [[C64::ZERO; 4]; 4];
+                for (i, row) in id.iter_mut().enumerate() {
+                    row[i] = C64::ONE;
+                }
+                id
+            }
+        }
+    }
 }
 
 impl HardwareEmulator {
-    /// Creates an emulator for `model`.
+    /// Creates an emulator for `model`, building its noise table.
     pub fn new(model: DeviceModel) -> Self {
-        HardwareEmulator { model }
+        HardwareEmulator {
+            noise: NoiseTable::new(&model),
+            model,
+        }
     }
 
     /// The underlying device model.
@@ -47,6 +131,76 @@ impl HardwareEmulator {
         Ok(())
     }
 
+    /// Compiles `circuit` and its noise into a superoperator program over
+    /// the `2n` bits of `vec(ρ)`, made only of 4×4 ops, and hands it to
+    /// `apply` in order, in segments of at most [`SEGMENT_OPS`] ops.
+    fn compile(
+        &self,
+        circuit: &Circuit,
+        mut apply: impl FnMut(&FusedCircuit) -> Result<(), BackendError>,
+    ) -> Result<(), BackendError> {
+        let n = circuit.n_qubits();
+        let mut segment = FusedCircuit::new(2 * n);
+        let mut emit = |op: FusedOp| -> Result<(), BackendError> {
+            segment.push(op);
+            if segment.len() == SEGMENT_OPS {
+                apply(&segment)?;
+                segment = FusedCircuit::new(2 * n);
+            }
+            Ok(())
+        };
+        // Per qubit: the product of Liouville matrices not yet emitted.
+        let mut pending: Vec<Option<Mat4>> = vec![None; n];
+        let flush = |q: usize, m: Mat4| FusedOp::Two {
+            qa: q + n,
+            qb: q,
+            m,
+        };
+        for g in circuit.gates() {
+            match g.matrix() {
+                GateMatrix::One(u) => {
+                    let q = g.qubits[0];
+                    let s = mat4_mul(self.noise.one(g.kind, q)?, &liouville(&u));
+                    pending[q] = Some(match &pending[q] {
+                        Some(p) => mat4_mul(&s, p),
+                        None => s,
+                    });
+                }
+                GateMatrix::Two(u) => {
+                    let (a, b) = (g.qubits[0], g.qubits[1]);
+                    let (on_a, on_b) = self.noise.two(a, b)?;
+                    for q in [a, b] {
+                        if let Some(m) = pending[q].take() {
+                            emit(flush(q, m))?;
+                        }
+                    }
+                    emit(FusedOp::Two {
+                        qa: a + n,
+                        qb: b + n,
+                        m: u,
+                    })?;
+                    emit(FusedOp::Two {
+                        qa: a,
+                        qb: b,
+                        m: conj4(&u),
+                    })?;
+                    pending[a] = Some(*on_a);
+                    pending[b] = Some(*on_b);
+                }
+            }
+        }
+        for (q, m) in pending.into_iter().enumerate() {
+            if let Some(m) = m {
+                emit(flush(q, m))?;
+            }
+        }
+        if segment.is_empty() {
+            Ok(())
+        } else {
+            apply(&segment)
+        }
+    }
+
     /// Runs `circuit` with full noise (gate Pauli channels + damping) and
     /// returns the final mixed state. Readout error is *not* applied here —
     /// see [`HardwareEmulator::measure_probabilities`].
@@ -55,38 +209,16 @@ impl HardwareEmulator {
     ///
     /// Returns [`BackendError::QubitCount`] if the circuit uses more qubits
     /// than the device has, or [`BackendError::InvalidChannel`] if the
-    /// device model yields an invalid noise channel.
+    /// device model yields an invalid noise channel for one of its gates.
     pub fn run(&self, circuit: &Circuit) -> Result<DensityMatrix, BackendError> {
         self.check_size(circuit)?;
         let mut rho = DensityMatrix::zero_state(circuit.n_qubits());
-        for g in circuit.gates() {
-            rho.apply_gate(g);
-            // Pauli (twirled) gate error on each affected qubit.
-            for (q, spec) in self.model.gate_errors(g) {
-                if spec.total() > 0.0 {
-                    let ch = Channel1::pauli(spec.p_x, spec.p_y, spec.p_z)?;
-                    rho.apply_channel1(q, &ch);
-                }
-            }
-            // Decoherence over the gate duration (both qubits of a 2q gate,
-            // scaled by the longer duration).
-            let dur = if g.arity() == 2 {
-                self.model.tq_duration_factor()
-            } else {
-                1.0
-            };
-            for k in 0..g.arity() {
-                let q = g.qubits[k];
-                let ad = (self.model.amp_damping(q) * dur).min(1.0);
-                let pd = (self.model.phase_damping(q) * dur).min(1.0);
-                if ad > 0.0 {
-                    rho.apply_channel1(q, &Channel1::amplitude_damping(ad)?);
-                }
-                if pd > 0.0 {
-                    rho.apply_channel1(q, &Channel1::phase_damping(pd)?);
-                }
-            }
-        }
+        self.compile(circuit, |segment| {
+            rho.apply_superop(segment)
+                .map_err(|e| BackendError::InvalidConfig {
+                    reason: e.to_string(),
+                })
+        })?;
         Ok(rho)
     }
 

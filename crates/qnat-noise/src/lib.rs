@@ -33,6 +33,7 @@ pub mod emulator;
 pub mod error_spec;
 pub mod fault;
 pub mod inject;
+mod noise_table;
 pub mod presets;
 pub mod readout;
 pub mod trajectory;

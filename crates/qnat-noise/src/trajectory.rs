@@ -7,12 +7,14 @@
 //! density-matrix result. The noise placement is identical to
 //! [`crate::emulator::HardwareEmulator`]: Pauli gate-error channels plus
 //! amplitude/phase damping after every physical gate, readout confusion at
-//! measurement. Like the density-matrix emulator, every entry point
-//! returns typed [`BackendError`]s instead of panicking.
+//! measurement. Both read their channels, in Kraus form here, from the
+//! same per-device noise table, built once per emulator. Like the
+//! density-matrix emulator, every entry point returns typed
+//! [`BackendError`]s instead of panicking.
 
 use crate::backend::BackendError;
 use crate::device::DeviceModel;
-use qnat_sim::channel::Channel1;
+use crate::noise_table::{NoiseTable, QubitNoise};
 use qnat_sim::circuit::Circuit;
 use qnat_sim::statevector::StateVector;
 use rand::Rng;
@@ -21,8 +23,24 @@ use rand::Rng;
 #[derive(Debug, Clone)]
 pub struct TrajectoryEmulator {
     model: DeviceModel,
+    noise: NoiseTable<QubitNoise>,
     /// Trajectories averaged per evaluation.
     pub n_trajectories: usize,
+}
+
+/// Samples the channels that follow one gate: every touched qubit's Pauli
+/// channel first, then each qubit's damping, one random draw per channel.
+fn apply_sampled<R: Rng>(psi: &mut StateVector, sites: &[(usize, &QubitNoise)], rng: &mut R) {
+    for (q, noise) in sites {
+        if let Some(ch) = &noise.pauli {
+            psi.apply_channel1_sampled(*q, ch, rng);
+        }
+    }
+    for (q, noise) in sites {
+        for ch in &noise.damping {
+            psi.apply_channel1_sampled(*q, ch, rng);
+        }
+    }
 }
 
 impl TrajectoryEmulator {
@@ -38,6 +56,7 @@ impl TrajectoryEmulator {
             });
         }
         Ok(TrajectoryEmulator {
+            noise: NoiseTable::new(&model),
             model,
             n_trajectories,
         })
@@ -74,27 +93,13 @@ impl TrajectoryEmulator {
         let mut psi = StateVector::zero_state(circuit.n_qubits());
         for g in circuit.gates() {
             psi.apply(g);
-            for (q, spec) in self.model.gate_errors(g) {
-                if spec.total() > 0.0 {
-                    let ch = Channel1::pauli(spec.p_x, spec.p_y, spec.p_z)?;
-                    psi.apply_channel1_sampled(q, &ch, rng);
-                }
-            }
-            let dur = if g.arity() == 2 {
-                self.model.tq_duration_factor()
+            if g.arity() == 2 {
+                let (a, b) = (g.qubits[0], g.qubits[1]);
+                let (on_a, on_b) = self.noise.two(a, b)?;
+                apply_sampled(&mut psi, &[(a, on_a), (b, on_b)], rng);
             } else {
-                1.0
-            };
-            for k in 0..g.arity() {
-                let q = g.qubits[k];
-                let ad = (self.model.amp_damping(q) * dur).min(1.0);
-                let pd = (self.model.phase_damping(q) * dur).min(1.0);
-                if ad > 0.0 {
-                    psi.apply_channel1_sampled(q, &Channel1::amplitude_damping(ad)?, rng);
-                }
-                if pd > 0.0 {
-                    psi.apply_channel1_sampled(q, &Channel1::phase_damping(pd)?, rng);
-                }
+                let q = g.qubits[0];
+                apply_sampled(&mut psi, &[(q, self.noise.one(g.kind, q)?)], rng);
             }
         }
         Ok(psi)
@@ -232,6 +237,59 @@ mod tests {
                 sampled[q]
             );
         }
+    }
+
+    /// Reading channels from the noise table leaves every random draw and
+    /// every amplitude where per-gate channel construction put them: the
+    /// bits below were recorded from the per-gate implementation. The
+    /// circuit covers virtual gates, coupled pairs in both orders and an
+    /// uncoupled pair (2, 0), on a noise-amplified Santiago.
+    #[test]
+    fn fixed_seed_outputs_are_bitwise_pinned() {
+        let mut c = Circuit::new(3);
+        c.push(Gate::sx(0));
+        c.push(Gate::rz(1, 0.3));
+        c.push(Gate::cx(0, 1));
+        c.push(Gate::u3(2, 0.7, -0.2, 0.4));
+        c.push(Gate::cx(1, 2));
+        c.push(Gate::cx(2, 0));
+        c.push(Gate::x(1));
+        c.push(Gate::p(2, 0.9));
+        let traj = TrajectoryEmulator::new(presets::santiago().scaled(6.0), 24).unwrap();
+        let mut rng = StdRng::seed_from_u64(13);
+        let z = traj.expect_all_z(&c, &mut rng).unwrap();
+        let sampled = traj.sampled_expect_all_z(&c, 4096, &mut rng).unwrap();
+        let psi = traj.run_one(&c, &mut rng).unwrap();
+        let z_bits: Vec<u64> = z.iter().chain(&sampled).map(|v| v.to_bits()).collect();
+        assert_eq!(
+            z_bits,
+            [
+                0x3fc8_9932_5eb3_1a87,
+                0x3fb7_8dac_35c2_a3bd,
+                0x3fa8_66c5_09d1_0b70,
+                0x3fd3_5353_5353_5353,
+                0x3fa2_1212_1212_1210,
+                0x3f91_9191_9191_9193,
+            ]
+        );
+        let amp_bits: Vec<(u64, u64)> = psi
+            .amplitudes()
+            .iter()
+            .map(|a| (a.re.to_bits(), a.im.to_bits()))
+            .collect();
+        assert_eq!(
+            amp_bits,
+            [
+                (0, 0),
+                (0x3fc2_9ae2_c260_dc50, 0xbfd3_ff80_50b3_8ccd),
+                (0, 0),
+                (0, 0),
+                (0xbfee_055a_61cf_c275, 0x3fa1_0293_bc11_fcd0),
+                (0, 0),
+                (0, 0),
+                (0, 0),
+            ]
+        );
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Property-based tests for noise models: probability sanity, scaling
-//! laws, injection structure and emulator physicality.
+//! laws, injection structure, emulator physicality, and the equivalence
+//! pin of the emulator's compiled superoperator path against a
+//! gate-by-gate Kraus reference.
 
 use proptest::prelude::*;
 use qnat_noise::device::DeviceModel;
@@ -8,7 +10,9 @@ use qnat_noise::error_spec::PauliErrorSpec;
 use qnat_noise::inject::{expected_overhead, insert_error_gates};
 use qnat_noise::presets;
 use qnat_noise::readout::ReadoutError;
-use qnat_sim::circuit::Circuit;
+use qnat_sim::channel::Channel1;
+use qnat_sim::circuit::{try_invert_gate, Circuit};
+use qnat_sim::density::DensityMatrix;
 use qnat_sim::gate::{Gate, GateKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -134,4 +138,256 @@ proptest! {
             prop_assert_eq!(sub.readout_error(i), d.readout_error(p));
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Compiled emulator ≡ gate-by-gate Kraus reference
+// ---------------------------------------------------------------------
+
+const PIN_QUBITS: usize = 4;
+const PIN_TOL: f64 = 1e-12;
+
+/// A random gate of any kind in `GateKind::ALL`, on random in-range
+/// qubits (distinct for two-qubit kinds, coupled or not), with random
+/// angles in every parameter slot.
+fn arb_any_gate() -> impl Strategy<Value = Gate> {
+    (
+        0..GateKind::ALL.len(),
+        0..PIN_QUBITS,
+        1..PIN_QUBITS,
+        (-3.0f64..3.0, -3.0f64..3.0, -3.0f64..3.0),
+    )
+        .prop_map(|(k, qa, d, (p0, p1, p2))| Gate {
+            kind: GateKind::ALL[k],
+            qubits: [qa, (qa + d) % PIN_QUBITS],
+            params: [p0, p1, p2],
+        })
+}
+
+fn arb_any_circuit(max_gates: usize) -> impl Strategy<Value = Circuit> {
+    prop::collection::vec(arb_any_gate(), 0..max_gates).prop_map(|gates| {
+        let mut c = Circuit::new(PIN_QUBITS);
+        c.extend(gates);
+        c
+    })
+}
+
+/// The emulator's noise placement, replayed gate by gate through the
+/// public Kraus calls: the gate, each touched qubit's Pauli channel, then
+/// each touched qubit's amplitude and phase damping over the gate's
+/// duration.
+fn kraus_reference(model: &DeviceModel, circuit: &Circuit) -> DensityMatrix {
+    let mut rho = DensityMatrix::zero_state(circuit.n_qubits());
+    for g in circuit.gates() {
+        rho.apply_gate(g);
+        for (q, spec) in model.gate_errors(g) {
+            if spec.total() > 0.0 {
+                let ch = Channel1::pauli(spec.p_x, spec.p_y, spec.p_z).unwrap();
+                rho.apply_channel1(q, &ch);
+            }
+        }
+        let dur = if g.arity() == 2 {
+            model.tq_duration_factor()
+        } else {
+            1.0
+        };
+        for &q in &g.qubits[..g.arity()] {
+            let ad = (model.amp_damping(q) * dur).min(1.0);
+            let pd = (model.phase_damping(q) * dur).min(1.0);
+            if ad > 0.0 {
+                rho.apply_channel1(q, &Channel1::amplitude_damping(ad).unwrap());
+            }
+            if pd > 0.0 {
+                rho.apply_channel1(q, &Channel1::phase_damping(pd).unwrap());
+            }
+        }
+    }
+    rho
+}
+
+/// Readout-corrupted ⟨Z⟩ per qubit from a reference state.
+fn reference_expect_all_z(model: &DeviceModel, rho: &DensityMatrix) -> Vec<f64> {
+    let n = rho.n_qubits();
+    let mut probs = rho.probabilities();
+    for q in 0..n {
+        model.readout_error(q).apply_to_distribution(&mut probs, q);
+    }
+    (0..n)
+        .map(|q| {
+            let p1: f64 = probs
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| i & (1 << q) != 0)
+                .map(|(_, w)| w)
+                .sum();
+            1.0 - 2.0 * p1
+        })
+        .collect()
+}
+
+/// Per-gate ZNE folding `G → G·(G†·G)^k`, with the square-root gates'
+/// two-gate inverse `G† = base·G`.
+fn fold_per_gate(circuit: &Circuit, scale: usize) -> Circuit {
+    let mut out = Circuit::new(circuit.n_qubits());
+    for g in circuit.gates() {
+        out.push(*g);
+        for _ in 0..(scale - 1) / 2 {
+            match try_invert_gate(g) {
+                Some(inv) => out.push(inv),
+                None if g.kind == GateKind::SqrtH => {
+                    out.push(Gate::h(g.qubits[0]));
+                    out.push(*g);
+                }
+                None => {
+                    out.push(Gate::swap(g.qubits[0], g.qubits[1]));
+                    out.push(*g);
+                }
+            }
+            out.push(*g);
+        }
+    }
+    out
+}
+
+/// Asserts the compiled emulator reproduces the Kraus reference on both
+/// the density matrix and the readout-corrupted ⟨Z⟩.
+fn assert_matches_reference(model: &DeviceModel, circuit: &Circuit) {
+    let emu = HardwareEmulator::new(model.clone());
+    let got = emu.run(circuit).unwrap();
+    let want = kraus_reference(model, circuit);
+    let dim = want.dim();
+    for r in 0..dim {
+        for c in 0..dim {
+            let (a, b) = (got.element(r, c), want.element(r, c));
+            prop_assert!(
+                a.approx_eq(b, PIN_TOL),
+                "{}: rho[{r}][{c}] compiled {a} vs Kraus {b} in\n{circuit}",
+                model.name()
+            );
+        }
+    }
+    let z = emu.expect_all_z(circuit).unwrap();
+    let z_ref = reference_expect_all_z(model, &want);
+    for (q, (a, b)) in z.iter().zip(&z_ref).enumerate() {
+        prop_assert!(
+            (a - b).abs() <= PIN_TOL,
+            "{}: <Z{q}> compiled {a} vs Kraus {b}",
+            model.name()
+        );
+    }
+}
+
+/// Every model the pin covers: each preset, a drifted preset and the
+/// noise-free device.
+fn pinned_models() -> Vec<DeviceModel> {
+    let mut models = presets::all_devices();
+    models.push(presets::santiago().drifted(1.8, 1.3));
+    models.push(presets::noise_free(PIN_QUBITS));
+    models
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn compiled_emulator_matches_kraus_reference(circuit in arb_any_circuit(20)) {
+        for model in pinned_models() {
+            assert_matches_reference(&model, &circuit);
+        }
+    }
+
+    #[test]
+    fn compiled_emulator_matches_kraus_reference_on_zne_folds(
+        circuit in arb_any_circuit(10),
+        scale in prop_oneof![Just(3usize), Just(5usize)],
+    ) {
+        let folded = fold_per_gate(&circuit, scale);
+        for model in [presets::santiago(), presets::yorktown().drifted(1.4, 1.0)] {
+            assert_matches_reference(&model, &folded);
+        }
+    }
+
+    #[test]
+    fn virtual_gates_still_damp(
+        angles in prop::collection::vec(-3.0f64..3.0, 1..12),
+    ) {
+        // Only frame changes after the X: no Pauli error, but every gate
+        // still decays the excited state.
+        let mut c = Circuit::new(1);
+        c.push(Gate::x(0));
+        for (i, &a) in angles.iter().enumerate() {
+            c.push(match i % 3 {
+                0 => Gate::rz(0, a),
+                1 => Gate::p(0, a),
+                _ => Gate::id(0),
+            });
+        }
+        let model = presets::santiago();
+        assert_matches_reference(&model, &c);
+        let only_x = {
+            let mut x = Circuit::new(1);
+            x.push(Gate::x(0));
+            x
+        };
+        let emu = HardwareEmulator::new(model);
+        let decayed = emu.run(&c).unwrap().expect_z(0);
+        let fresh = emu.run(&only_x).unwrap().expect_z(0);
+        prop_assert!(decayed > fresh, "virtual gates must damp: {decayed} vs {fresh}");
+    }
+
+    #[test]
+    fn two_qubit_duration_factor_is_applied(
+        circuit in arb_any_circuit(12),
+        factor in 0.0f64..24.0,
+        amp in 0.0f64..0.02,
+        phase in 0.0f64..0.02,
+    ) {
+        let spec = PauliErrorSpec::new(0.004, 0.002, 0.006).unwrap();
+        let mut builder = DeviceModel::builder("duration-pin", PIN_QUBITS)
+            .edge(0, 1, spec)
+            .edge(1, 2, spec.scaled(2.0))
+            .edge(2, 3, spec.scaled(0.5))
+            .tq_duration_factor(factor);
+        for q in 0..PIN_QUBITS {
+            builder = builder
+                .single_qubit_error(q, spec.scaled(0.1))
+                .damping(q, amp * (q + 1) as f64, phase);
+        }
+        let model = builder.build().unwrap();
+        assert_matches_reference(&model, &circuit);
+    }
+
+    #[test]
+    fn compiled_emulator_is_bitwise_deterministic(circuit in arb_any_circuit(20)) {
+        let emu = HardwareEmulator::new(presets::santiago());
+        let bits = |rho: &DensityMatrix| -> Vec<(u64, u64)> {
+            let dim = rho.dim();
+            (0..dim * dim)
+                .map(|i| rho.element(i / dim, i % dim))
+                .map(|v| (v.re.to_bits(), v.im.to_bits()))
+                .collect()
+        };
+        let a = emu.run(&circuit).unwrap();
+        let b = emu.run(&circuit).unwrap();
+        prop_assert_eq!(bits(&a), bits(&b));
+    }
+}
+
+/// The duration factor reaches the damping: the same CX on a slower
+/// two-qubit gate leaves the excited control more decayed.
+#[test]
+fn longer_two_qubit_gates_decay_more() {
+    let z_after = |factor: f64| {
+        let model = DeviceModel::builder("duration", 2)
+            .edge(0, 1, PauliErrorSpec::zero())
+            .damping(0, 0.01, 0.0)
+            .tq_duration_factor(factor)
+            .build()
+            .unwrap();
+        let mut c = Circuit::new(2);
+        c.push(Gate::x(0));
+        c.push(Gate::cx(0, 1));
+        HardwareEmulator::new(model).run(&c).unwrap().expect_z(0)
+    };
+    assert!(z_after(16.0) > z_after(2.0));
 }

@@ -5,13 +5,44 @@
 //! stored as `vec(ρ)` — a length-4ⁿ amplitude vector — so the statevector
 //! kernels are reused: a ket-side operator acts on bit `q + n`, a bra-side
 //! (conjugated) operator on bit `q`.
+//!
+//! [`DensityMatrix::apply_gate`] and the Kraus-sum channels
+//! ([`DensityMatrix::apply_channel1`] / [`apply_channel2`](DensityMatrix::apply_channel2))
+//! apply one operation at a time; they are the reference the hardware
+//! emulator's compiled path is pinned to. That path runs a whole noisy
+//! circuit as one superoperator program over the `2n` bits of `vec(ρ)`
+//! through [`DensityMatrix::apply_superop`] (see [`crate::fused`]).
 
 use crate::channel::{Channel1, Channel2};
 use crate::circuit::Circuit;
+use crate::fused::FusedCircuit;
 use crate::gate::{Gate, GateMatrix};
 use crate::kernels::{apply_mat2, apply_mat4, conj2, conj4};
 use crate::math::C64;
 use crate::statevector::{RegisterMismatchError, StateVector};
+use std::fmt;
+
+/// Error returned when a superoperator program is not exactly `2n` bits
+/// wide for an `n`-qubit density matrix.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SuperopWidthError {
+    /// Width of the program, in `vec(ρ)` bits.
+    pub program_bits: usize,
+    /// `2n` for the density matrix it was applied to.
+    pub state_bits: usize,
+}
+
+impl fmt::Display for SuperopWidthError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "superoperator program spans {} bits but vec(ρ) has {}",
+            self.program_bits, self.state_bits
+        )
+    }
+}
+
+impl std::error::Error for SuperopWidthError {}
 
 /// A mixed quantum state over `n` qubits.
 ///
@@ -155,6 +186,10 @@ impl DensityMatrix {
 
     /// Applies a single-qubit Kraus channel on qubit `q`:
     /// ρ → Σᵏ KᵏρKᵏᵈ.
+    ///
+    /// Straightforward and allocating (two full-size buffers per call):
+    /// kept as the reference for the compiled superoperator path, not for
+    /// hot loops.
     pub fn apply_channel1(&mut self, q: usize, ch: &Channel1) {
         let n = self.n_qubits;
         let mut acc = vec![C64::ZERO; self.data.len()];
@@ -171,6 +206,9 @@ impl DensityMatrix {
     }
 
     /// Applies a two-qubit Kraus channel on `(qa, qb)`.
+    ///
+    /// Allocating like [`apply_channel1`](Self::apply_channel1); a
+    /// reference, not a hot path.
     pub fn apply_channel2(&mut self, qa: usize, qb: usize, ch: &Channel2) {
         let n = self.n_qubits;
         let mut acc = vec![C64::ZERO; self.data.len()];
@@ -184,6 +222,26 @@ impl DensityMatrix {
             }
         }
         self.data = acc;
+    }
+
+    /// Applies a superoperator program to `vec(ρ)`: every op maps the
+    /// `vec(ρ)` bits it names directly (no bra/ket doubling), so the
+    /// program must span exactly `2n` bits for this `n`-qubit state.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SuperopWidthError`] if the program is not `2n` bits
+    /// wide; the state is left untouched.
+    pub fn apply_superop(&mut self, program: &FusedCircuit) -> Result<(), SuperopWidthError> {
+        let state_bits = 2 * self.n_qubits;
+        if program.n_qubits() != state_bits {
+            return Err(SuperopWidthError {
+                program_bits: program.n_qubits(),
+                state_bits,
+            });
+        }
+        program.apply_to_amps(&mut self.data);
+        Ok(())
     }
 
     /// Diagonal of ρ: the probability of each computational basis state.
@@ -299,6 +357,45 @@ mod tests {
         assert!((rho.trace() - 1.0).abs() < 1e-12);
         assert!(rho.hermiticity_error() < 1e-12);
         assert!(rho.purity() < 1.0);
+    }
+
+    /// A superoperator program of `U⊗U*` Liouville ops reproduces the
+    /// unitary run, and a program of the wrong width is a typed error.
+    #[test]
+    fn superop_program_matches_unitary_run() {
+        use crate::fused::FusedOp;
+        use crate::math::kron2;
+        let mut c = Circuit::new(2);
+        c.push(Gate::u3(0, 0.7, -0.2, 0.5));
+        c.push(Gate::h(1));
+        let mut program = FusedCircuit::new(4);
+        for g in c.gates() {
+            let (q, m) = (g.qubits[0], g.matrix1());
+            program.push(FusedOp::Two {
+                qa: q + 2,
+                qb: q,
+                m: kron2(&m, &conj2(&m)),
+            });
+        }
+        let mut want = DensityMatrix::zero_state(2);
+        want.run(&c);
+        let mut got = DensityMatrix::zero_state(2);
+        got.apply_superop(&program).unwrap();
+        for r in 0..4 {
+            for col in 0..4 {
+                assert!(got.element(r, col).approx_eq(want.element(r, col), 1e-14));
+            }
+        }
+        let mut wrong = DensityMatrix::zero_state(3);
+        let err = wrong.apply_superop(&program).unwrap_err();
+        assert_eq!(
+            err,
+            SuperopWidthError {
+                program_bits: 4,
+                state_bits: 6
+            }
+        );
+        assert_eq!(wrong, DensityMatrix::zero_state(3));
     }
 
     #[test]

@@ -1,17 +1,30 @@
 //! Fused-circuit IR: the executable form produced by the compiler's gate
-//! fusion pass (`qnat_compiler::fusion`).
+//! fusion pass (`qnat_compiler::fusion`) and by the hardware emulator's
+//! noisy-circuit compiler (`qnat_noise::emulator`).
 //!
-//! A [`FusedCircuit`] is an ordered list of dense unitaries — one 2×2 per
-//! surviving single-qubit run, one 4×4 per CX-sandwiched two-qubit run —
-//! with no gate names or parameters left. Executing it walks the state
-//! once per fused op through the branch-free kernels in
-//! [`crate::kernels`], which is where the fuse-once-run-many speedup for
-//! repeated inference comes from.
+//! A [`FusedCircuit`] is an ordered list of dense 2×2 / 4×4 matrices on
+//! named bits, with no gate names or parameters left. Two kinds of
+//! program share it:
+//!
+//! - **Unitary programs** over `n` qubits — one 2×2 per surviving
+//!   single-qubit run, one 4×4 per CX-sandwiched two-qubit run — run on a
+//!   statevector, or on a density matrix as `ρ → UρU†` through
+//!   [`DensityMatrix::try_run_fused`].
+//! - **Superoperator programs** over the `2n` bits of `vec(ρ)` (bits
+//!   `n..2n` the row, `0..n` the column): each op is a linear map on
+//!   `vec(ρ)` itself — a Liouville matrix of a gate plus its noise
+//!   channels on bits `(q + n, q)`, or one side of a two-qubit gate — and
+//!   runs once through [`DensityMatrix::apply_superop`].
+//!
+//! Executing either walks the amplitudes once per op through the
+//! branch-free kernels in [`crate::kernels`], which is where the
+//! fuse-once-run-many speedup for repeated inference comes from.
 //!
 //! Semantics contract: running a fused circuit must reproduce the unfused
 //! circuit's outputs within 1e-12 on both the statevector and the
 //! density-matrix (`vec(ρ)` bra/ket) paths — pinned by the equivalence
-//! proptests in `qnat-compiler`.
+//! proptests in `qnat-compiler` (unitary fusion) and `qnat-noise`
+//! (noisy superoperator compilation).
 
 use crate::circuit::Circuit;
 use crate::density::DensityMatrix;
@@ -19,17 +32,20 @@ use crate::kernels::{apply_mat2, apply_mat4, conj2, conj4};
 use crate::math::{C64, Mat2, Mat4};
 use crate::statevector::{RegisterMismatchError, StateVector};
 
-/// One fused unitary: a dense matrix plus the qubits it acts on.
+/// One fused op: a dense matrix plus the bits it acts on. In a unitary
+/// program the matrix is a unitary on qubits; in a superoperator program
+/// the "qubits" are `vec(ρ)` bits and the matrix may be any linear map on
+/// them, e.g. a non-unitary Liouville matrix of a noise channel.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FusedOp {
-    /// A 2×2 unitary on one qubit (a collapsed run of single-qubit gates).
+    /// A 2×2 matrix on one bit (a collapsed run of single-qubit gates).
     One {
         /// Target qubit.
         q: usize,
         /// The accumulated matrix.
         m: Mat2,
     },
-    /// A 4×4 unitary on an ordered qubit pair, in the basis
+    /// A 4×4 matrix on an ordered bit pair, in the basis
     /// `index = 2·bit(qa) + bit(qb)`.
     Two {
         /// First qubit (the `2·bit` axis of the matrix basis).
@@ -51,7 +67,9 @@ impl FusedOp {
     }
 }
 
-/// A compiled, fused circuit: dense unitaries in execution order.
+/// A compiled, fused circuit: dense ops in execution order — unitaries
+/// on `n` qubits, or Liouville superoperators on the `2n` bits of
+/// `vec(ρ)` (see the module docs for the two kinds).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FusedCircuit {
     n_qubits: usize,
@@ -59,7 +77,9 @@ pub struct FusedCircuit {
 }
 
 impl FusedCircuit {
-    /// An empty fused circuit over `n_qubits` qubits (the identity).
+    /// An empty fused circuit over `n_qubits` qubits (the identity). A
+    /// superoperator program for an `n`-qubit density matrix is built with
+    /// `n_qubits = 2n`.
     pub fn new(n_qubits: usize) -> Self {
         FusedCircuit {
             n_qubits,
@@ -67,7 +87,7 @@ impl FusedCircuit {
         }
     }
 
-    /// Register size.
+    /// Register size (in `vec(ρ)` bits for a superoperator program).
     pub fn n_qubits(&self) -> usize {
         self.n_qubits
     }

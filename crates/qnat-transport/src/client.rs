@@ -2,10 +2,14 @@
 //! connection: calls reuse one TCP connection across requests,
 //! transparently reconnecting when the server closed it (idle timeout,
 //! request cap, drain) and retrying **idempotent GETs** once on a stale
-//! connection. Non-idempotent POSTs are only retried when the *write*
-//! of the request failed — bytes that never reached the server cannot
-//! have been acted on; a POST whose response went missing surfaces the
-//! error instead of risking a duplicate submission.
+//! connection. Before a parked connection carries a request, a
+//! non-blocking `peek` checks it is still open; one the server already
+//! closed or reset is dropped and a fresh connection takes the request,
+//! which is safe because nothing was written on the dead one.
+//! Non-idempotent POSTs are otherwise only retried when the *write* of
+//! the request failed — bytes that never reached the server cannot have
+//! been acted on; a POST whose response went missing surfaces the error
+//! instead of risking a duplicate submission.
 //!
 //! This is the client the `transport_e2e` test, the chaos suite and the
 //! load harness drive — deliberately minimal, deliberately honest about
@@ -24,7 +28,7 @@ use qnat_serve::engine::{JobOutcome, Lane, Ticket};
 use qnat_serve::mitigate::MitigatedJob;
 use std::error::Error;
 use std::fmt;
-use std::io::BufReader;
+use std::io::{BufReader, ErrorKind};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -176,6 +180,25 @@ struct PooledConn {
     writer: TcpStream,
 }
 
+impl PooledConn {
+    /// Non-blocking liveness probe of a parked connection. Open and quiet
+    /// reads as `WouldBlock`; EOF or a reset means the server closed it,
+    /// and unsolicited bytes (nothing is owed on an idle connection)
+    /// would corrupt the next response, so those all count as closed.
+    fn is_open(&self) -> bool {
+        if !self.reader.buffer().is_empty() {
+            return false;
+        }
+        let stream = self.reader.get_ref();
+        if stream.set_nonblocking(true).is_err() {
+            return false;
+        }
+        let mut byte = [0u8; 1];
+        let quiet = matches!(stream.peek(&mut byte), Err(e) if e.kind() == ErrorKind::WouldBlock);
+        stream.set_nonblocking(false).is_ok() && quiet
+    }
+}
+
 /// A blocking HTTP client for one front door, holding at most one idle
 /// keep-alive connection. Concurrent calls on clones sharing the pool
 /// simply open an extra connection when the pooled one is in use; the
@@ -262,9 +285,12 @@ impl TransportClient {
         })
     }
 
-    /// Takes the idle pooled connection, if any.
+    /// Takes the idle pooled connection, if there is one and it is still
+    /// open; a closed one is dropped here, before any request byte is
+    /// written, so the caller connects fresh.
     fn take_pooled(&self) -> Option<PooledConn> {
-        self.pool.lock().unwrap_or_else(|p| p.into_inner()).take()
+        let conn = self.pool.lock().unwrap_or_else(|p| p.into_inner()).take()?;
+        conn.is_open().then_some(conn)
     }
 
     /// Returns a still-healthy connection to the idle slot (first one

@@ -973,6 +973,40 @@ fn pooled_client_survives_connection_caps_and_idle_reaping() {
     server.shutdown();
 }
 
+/// A POST on a parked connection the server has since reaped for
+/// idleness reconnects instead of failing: the client probes the parked
+/// connection before writing, finds it closed, and sends the request on
+/// a fresh one — safe, because no request byte went out on the dead one.
+#[test]
+fn submit_after_idle_reap_reconnects() {
+    let (server, client) = serve(
+        ServeConfig {
+            workers: 1,
+            seed: 5,
+            ..ServeConfig::default()
+        },
+        TransportConfig {
+            idle_timeout_ms: 100,
+            ..TransportConfig::default()
+        },
+    );
+    let first = client
+        .submit(&simple_job(0), Lane::Interactive)
+        .expect("first submit");
+    client.wait(first).expect("first wait");
+    std::thread::sleep(Duration::from_millis(350));
+    let second = client
+        .submit(&simple_job(1), Lane::Interactive)
+        .expect("submit after the idle reap");
+    assert!(client.wait(second).expect("second wait").is_some());
+    assert_eq!(
+        server.metrics().connections_accepted,
+        2,
+        "the reaped connection was replaced once"
+    );
+    server.shutdown();
+}
+
 /// ISSUE 10 acceptance: one `POST /v1/mitigate` fans out into one
 /// folded sub-run per noise scale on the bulk lane and comes back as a
 /// single aggregated result — and the whole sweep replays bitwise from
